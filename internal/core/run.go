@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tailspace/internal/ast"
-	"tailspace/internal/compile"
 	"tailspace/internal/env"
 	"tailspace/internal/expand"
 	"tailspace/internal/obs"
@@ -100,12 +99,6 @@ type Options struct {
 	// zero value — selects DefaultCancelEvery. Smaller values cancel more
 	// promptly at the cost of one channel poll per period.
 	CancelEvery int
-	// Backend selects the execution engine: BackendStepper (the zero value)
-	// interprets the AST directly; BackendCompiled pre-resolves variables to
-	// rib coordinates and dispatches on dense opcodes, emitting identical
-	// observables. Runs with Order == RandomOrder always use the stepper
-	// (per-call permutations cannot be pre-resolved).
-	Backend Backend
 }
 
 // TracePoint is one sample of a run's space profile.
@@ -277,25 +270,6 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	r.machine = NewMachine(r.opts.Variant, st)
 	r.machine.SetOrder(r.opts.Order)
 	r.machine.SetStackStrict(r.opts.StackStrict)
-	// Engine selection. Compilation happens per run, after the globals are
-	// installed, so ρ0 bindings bake to concrete locations; it is a few
-	// microseconds against the runs it accelerates. A program the compiler
-	// does not understand (expression forms outside package ast) falls back
-	// to the stepper, as does random argument order.
-	var engine stepEngine = r.machine
-	runExpr := e
-	if r.opts.Backend == BackendCompiled && r.opts.Order != RandomOrder {
-		cfg := compile.Config{
-			FreeClosures:  r.opts.Variant.FreeClosures,
-			RestrictConts: r.opts.Variant.RestrictConts,
-			EvlisLastEnv:  r.opts.Variant.EvlisLastEnv,
-			RightToLeft:   r.opts.Order == RightToLeft,
-		}
-		if prog, cerr := compile.Program(e, cfg, rho0); cerr == nil {
-			engine = &compiledMachine{m: r.machine}
-			runExpr = prog.Root
-		}
-	}
 	if r.opts.Measure {
 		r.meter.Attach(st)
 	}
@@ -324,7 +298,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	defer func() { res.Metrics = r.buildMetrics(&res, st) }()
 
 	res = Result{ProgramSize: e.Size(), Store: st}
-	s := EvalState(runExpr, rho0, value.Halt{})
+	s := EvalState(e, rho0, value.Halt{})
 
 	gcEvery := r.opts.GCEvery
 	switch {
@@ -358,13 +332,13 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 			}
 		}
 		if s.Expr != nil {
-			r.lastExpr = sourceExpr(s.Expr)
+			r.lastExpr = s.Expr
 		}
 		if r.tap != nil {
 			r.tap.step = res.Steps + 1
 			r.tap.expr = r.lastExpr
 		}
-		next, done, err := engine.Step(s)
+		next, done, err := r.machine.Step(s)
 		if err != nil {
 			res.Err = err
 			return res
@@ -376,7 +350,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		}
 		s = next
 		res.Steps++
-		r.ruleCounts[engine.LastRule()]++
+		r.ruleCounts[r.machine.LastRule()]++
 		if gcEvery > 0 && res.Steps%gcEvery == 0 {
 			if r.opts.Variant.CompressFrames {
 				s.K = CompressReturnChains(s.K)
@@ -393,7 +367,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 				res.Collected += collected
 			}
 		}
-		r.observe(&res, s, st, engine.LastRule())
+		r.observe(&res, s, st, r.machine.LastRule())
 	}
 }
 
@@ -498,8 +472,6 @@ func (r *Runner) attributePeak(step, flat int, s State, st *value.Store, rule Ru
 	expr := s.Expr
 	if expr == nil {
 		expr = r.lastExpr
-	} else {
-		expr = sourceExpr(expr)
 	}
 	var exprStr string
 	var nodeID int

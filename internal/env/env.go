@@ -186,53 +186,6 @@ func flatEnv(syms []Symbol, locs []Location) Env {
 	return Env{r: &rib{syms: syms, locs: locs, size: len(syms), entries: len(syms)}}
 }
 
-// Flat wraps parallel slices as a single flat-rib environment, exactly the
-// shape RestrictSyms builds, for callers — the compiled backend's capture
-// plans — that established at compile time that the identifiers are already
-// distinct. The rib takes ownership of both slices; they must not be mutated
-// afterwards (sharing one immutable syms slice across many environments is
-// fine and is the point).
-func Flat(syms []Symbol, locs []Location) Env {
-	if len(syms) != len(locs) {
-		panic("env: Flat with mismatched identifiers and locations")
-	}
-	return flatEnv(syms, locs)
-}
-
-// ExtendSized is ExtendSyms for callers that already know how many of the
-// identifiers are genuinely new: fresh must equal the number of syms that are
-// neither bound below e nor repeated later in the rib — the quantity
-// ExtendSyms derives with a lookup per identifier. The compiled backend
-// computes it once per lambda at compile time; passing a wrong count corrupts
-// the |Dom ρ| account that Figure 7 charges.
-func (e Env) ExtendSized(syms []Symbol, locs []Location, fresh int) Env {
-	if len(syms) != len(locs) {
-		panic("env: Extend with mismatched names and locations")
-	}
-	if len(syms) == 0 {
-		return e
-	}
-	size, entries := fresh, len(syms)
-	if e.r != nil {
-		size, entries = e.r.size+fresh, e.r.entries+len(syms)
-	}
-	return Env{r: &rib{syms: syms, locs: locs, up: e.r, size: size, entries: entries}}
-}
-
-// LocAt returns the location at rib coordinates (depth, index): entry index
-// of the depth-th rib from the top of the chain. It is the run-time half of
-// the compiled backend's lexical addressing — the compiler guarantees the
-// coordinates against the environment's statically known shape, so no
-// identifier comparison happens here. Out-of-shape coordinates panic (a
-// compiler bug, not a program error).
-func (e Env) LocAt(depth, index int) Location {
-	r := e.r
-	for ; depth > 0; depth-- {
-		r = r.up
-	}
-	return r.locs[index]
-}
-
 // Size is |Dom ρ|, the flat-environment space charge, read from the cached
 // rib-size account (O(1), representation-independent).
 func (e Env) Size() int {

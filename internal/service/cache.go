@@ -3,6 +3,10 @@ package service
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -20,6 +24,7 @@ const (
 	MetricInflight    = "cache.inflight" // gauge: distinct computations running
 	MetricPoolBusy    = "pool.busy"      // gauge: worker slots in use
 	MetricPoolWaiting = "pool.waiting"   // gauge: computations queued for a slot
+	MetricPanics      = "engine.panics"  // computations that panicked (answered 500, not cached)
 	// MetricRequests counts served requests per route pattern, labeled with
 	// obs.Labeled(MetricRequests, "endpoint", route). The route must enter as
 	// a label, never concatenated into the name: patterns like
@@ -49,8 +54,8 @@ const (
 // The computation's lifetime is tied to its waiters, not to the leader's
 // connection — each waiter that disconnects decrements a reference count,
 // and only when the count reaches zero is the underlying run cancelled. A
-// computation that fails (cancellation, deadline) is not cached, so the
-// next request retries it.
+// computation that fails (cancellation, deadline, engine panic) is not
+// cached, so the next request retries it.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -59,6 +64,11 @@ type resultCache struct {
 	flights map[string]*flight
 	metrics *obs.SyncMetrics
 }
+
+// errEnginePanic marks a computation that panicked. Engine invariants panic
+// by design (an unpriced or unrooted frame); the flight recovers, so one
+// such program fails its own request with a 500 instead of the process.
+var errEnginePanic = errors.New("service: engine panic")
 
 // centry is one resident cache entry.
 type centry struct {
@@ -137,7 +147,7 @@ func (c *resultCache) do(ctx, base context.Context, timeout time.Duration, key s
 	}
 
 	go func() {
-		v, cerr := compute(fctx)
+		v, cerr := c.run(fctx, key, compute)
 		c.mu.Lock()
 		f.val, f.err = v, cerr
 		delete(c.flights, key)
@@ -150,6 +160,22 @@ func (c *resultCache) do(ctx, base context.Context, timeout time.Duration, key s
 		c.metrics.Add(MetricInflight, -1)
 	}()
 	return c.wait(ctx, key, f, "miss")
+}
+
+// run calls compute on the flight's goroutine, turning a panic into an
+// errEnginePanic error: the flight then finishes like any failed one (not
+// cached, waiters released, inflight gauge decremented). The key — the hash
+// of the expanded program and run options — is logged with the stack so
+// the failing run can be replayed.
+func (c *resultCache) run(ctx context.Context, key string, compute func(context.Context) (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.metrics.Inc(MetricPanics, 1)
+			log.Printf("service: engine panic computing cache key %s: %v\n%s", key, p, debug.Stack())
+			v, err = nil, fmt.Errorf("%w: %v (cache key %s)", errEnginePanic, p, key)
+		}
+	}()
+	return compute(ctx)
 }
 
 // wait blocks until the flight finishes or this waiter's context ends. A

@@ -501,54 +501,21 @@ func TestCostModelsAreDistinctCacheIdentities(t *testing.T) {
 	}
 }
 
-// TestBackendsAreDistinctCacheIdentities pins the backend axis of the cache
-// key: the compiled backend computes the same observables as the stepper —
-// every cell field must agree — but a cache entry names the computation that
-// produced it, so the two backends are two identities (the second backend
-// misses) and an unknown backend is a client error.
-func TestBackendsAreDistinctCacheIdentities(t *testing.T) {
+// TestUnknownRequestFieldIsRejected pins decode's DisallowUnknownFields: a
+// body carrying a field the wire API does not define — here the "backend"
+// field of an engine selection the service does not offer — is a client
+// error, rejected before any run is started.
+func TestUnknownRequestFieldIsRejected(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := func(backend string) MeasureResponse {
-		var resp MeasureResponse
-		r := MeasureRequest{Program: countdown, Input: "(quote 6)",
-			Machines: []string{"tail"}, CostModels: []string{"fixnum"},
-			Backend: backend}
-		if status := post(t, ts.URL+"/v1/measure", r, &resp); status != http.StatusOK {
-			t.Fatalf("measure backend=%q: status = %d", backend, status)
-		}
-		return resp
+	body := map[string]any{"program": countdown, "input": "(quote 6)", "backend": "compiled"}
+	status, resp := postCtx(t, context.Background(), ts.URL+"/v1/measure", body)
+	if status != http.StatusBadRequest {
+		t.Fatalf("unknown field: status = %d, want 400\n%s", status, resp)
 	}
-
-	stepper := req("stepper")
-	m := s.Metrics()
-	missesAfterStepper := m.Counter(MetricCacheMisses)
-	hitsAfterStepper := m.Counter(MetricCacheHits)
-
-	compiled := req("compiled")
-	if got := m.Counter(MetricCacheMisses); got != missesAfterStepper+1 {
-		t.Fatalf("compiled backend must be a fresh cache identity: misses = %d, want %d", got, missesAfterStepper+1)
+	if !strings.Contains(string(resp), "unknown field") {
+		t.Fatalf("400 body must name the unknown field: %s", resp)
 	}
-	if got := m.Counter(MetricCacheHits); got != hitsAfterStepper {
-		t.Fatalf("compiled backend must not hit the stepper entry: hits = %d, want %d", got, hitsAfterStepper)
-	}
-	if stepper.Cells[0] != compiled.Cells[0] {
-		t.Fatalf("backends must agree on every observable: stepper=%+v compiled=%+v",
-			stepper.Cells[0], compiled.Cells[0])
-	}
-
-	// The empty backend resolves to the server default (the stepper here),
-	// so it shares the stepper entry.
-	again := req("")
-	if got := m.Counter(MetricCacheHits); got != hitsAfterStepper+1 {
-		t.Fatalf("default backend must hit the stepper entry: hits = %d, want %d", got, hitsAfterStepper+1)
-	}
-	if again.Cells[0] != stepper.Cells[0] {
-		t.Fatalf("cached cell differs: %+v vs %+v", again.Cells[0], stepper.Cells[0])
-	}
-
-	var resp MeasureResponse
-	bad := MeasureRequest{Program: countdown, Backend: "jit"}
-	if status := post(t, ts.URL+"/v1/measure", bad, &resp); status != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status = %d, want 400", status)
+	if got := s.Metrics().Counter(MetricCacheMisses); got != 0 {
+		t.Fatalf("a rejected body must not start a run: cache misses = %d", got)
 	}
 }

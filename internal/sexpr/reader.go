@@ -17,11 +17,21 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("syntax error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// maxDepth bounds datum nesting: each list, vector, quote abbreviation, and
+// datum comment opens one level. The reader, the expander, and every later
+// pass over the syntax tree recurse once per level, and Go reports a stack
+// overflow as a fatal error, not a recoverable panic: without a bound, a
+// 2M-deep file kills the process. Ten thousand levels is far beyond anything
+// written by hand or generated here, and keeps all of those passes a long
+// way below the Go stack limit.
+const maxDepth = 10_000
+
 // Reader parses a stream of data from program text.
 type Reader struct {
 	src       []rune
 	pos       int
 	line, col int
+	depth     int // open nesting levels (see maxDepth)
 }
 
 // NewReader returns a Reader over src.
@@ -68,6 +78,18 @@ func ReadOne(src string) (Datum, error) {
 func (r *Reader) errf(format string, args ...any) error {
 	return &SyntaxError{Line: r.line, Col: r.col, Msg: fmt.Sprintf(format, args...)}
 }
+
+// enter opens one nesting level, failing past maxDepth; pair it with a
+// deferred leave.
+func (r *Reader) enter() error {
+	if r.depth >= maxDepth {
+		return r.errf("datum nested deeper than %d levels", maxDepth)
+	}
+	r.depth++
+	return nil
+}
+
+func (r *Reader) leave() { r.depth-- }
 
 func (r *Reader) peek() (rune, bool) {
 	if r.pos >= len(r.src) {
@@ -132,20 +154,33 @@ func (r *Reader) skipAtmosphere() error {
 			// Datum comment: #; skips the next datum.
 			r.next()
 			r.next()
-			if err := r.skipAtmosphere(); err != nil {
+			if err := r.skipDatum(); err != nil {
 				return err
-			}
-			d, err := r.Read()
-			if err != nil {
-				return err
-			}
-			if d == nil {
-				return r.errf("datum comment at end of input")
 			}
 		default:
 			return nil
 		}
 	}
+}
+
+// skipDatum reads and discards the datum after a #; comment. Datum comments
+// can stack (#; #; a b), so each one is a nesting level.
+func (r *Reader) skipDatum() error {
+	if err := r.enter(); err != nil {
+		return err
+	}
+	defer r.leave()
+	if err := r.skipAtmosphere(); err != nil {
+		return err
+	}
+	d, err := r.Read()
+	if err != nil {
+		return err
+	}
+	if d == nil {
+		return r.errf("datum comment at end of input")
+	}
+	return nil
 }
 
 // Read parses the next datum, or returns (nil, nil) at end of input.
@@ -185,6 +220,10 @@ func (r *Reader) Read() (Datum, error) {
 }
 
 func (r *Reader) readAbbrev(tag string) (Datum, error) {
+	if err := r.enter(); err != nil {
+		return nil, err
+	}
+	defer r.leave()
 	d, err := r.Read()
 	if err != nil {
 		return nil, err
@@ -203,6 +242,10 @@ func closerFor(open rune) rune {
 }
 
 func (r *Reader) readList(open rune) (Datum, error) {
+	if err := r.enter(); err != nil {
+		return nil, err
+	}
+	defer r.leave()
 	r.next() // consume opener
 	closer := closerFor(open)
 	var items []Datum

@@ -1,6 +1,7 @@
 package sexpr
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -213,6 +214,45 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 	if se.Line != 2 {
 		t.Fatalf("got line %d, want 2", se.Line)
+	}
+}
+
+// TestNestingDepthLimit pins the reader's nesting bound: a datum exactly
+// maxDepth levels deep reads, one level more is a *SyntaxError, and a
+// 2M-deep input — which used to overflow the Go stack, a fatal error —
+// comes back as an error too. Every kind of level counts: lists, vectors,
+// quote abbreviations, and stacked datum comments.
+func TestNestingDepthLimit(t *testing.T) {
+	nested := func(open, closeWith string, n int) string {
+		return strings.Repeat(open, n) + "x" + strings.Repeat(closeWith, n)
+	}
+	if _, err := ReadOne(nested("(", ")", maxDepth)); err != nil {
+		t.Fatalf("list at the limit: %v", err)
+	}
+	if _, err := ReadOne(nested("'", "", maxDepth)); err != nil {
+		t.Fatalf("quotes at the limit: %v", err)
+	}
+	for name, src := range map[string]string{
+		"list":           nested("(", ")", maxDepth+1),
+		"vector":         nested("#(", ")", maxDepth+1),
+		"quote":          nested("'", "", maxDepth+1),
+		"mixed":          nested("(`", ")", maxDepth/2+1),
+		"datum comments": strings.Repeat("#;", maxDepth+1) + strings.Repeat("a ", maxDepth+2),
+		"2M deep":        nested("(", ")", 2_000_000),
+	} {
+		_, err := ReadAll(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("%s past the limit: got %T %v, want *SyntaxError", name, err, err)
+			continue
+		}
+		if !strings.Contains(se.Msg, "nested deeper") {
+			t.Errorf("%s past the limit: %v", name, se)
+		}
+	}
+	// The count is of open levels, not of lists read: wide input is fine.
+	if _, err := ReadOne("(" + strings.Repeat("(a) ", 3*maxDepth) + ")"); err != nil {
+		t.Fatalf("wide list: %v", err)
 	}
 }
 

@@ -61,11 +61,6 @@ type Closure struct {
 	Tag env.Location
 	Lam *ast.Lambda
 	Env env.Env
-	// Code is the compiled body when the closure was minted by the compiled
-	// backend (a *compile.LambdaCode); nil under the stepper. It is invisible
-	// to the space accounting — Figure 7 charges a closure for its shell and
-	// copied environment, and code pointers address the static program.
-	Code any
 }
 
 // Escape is ESCAPE:(α,κ), a first-class continuation captured by call/cc.

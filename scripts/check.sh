@@ -25,8 +25,7 @@ go vet -vettool="$(pwd)/bin/framecheck" ./...
 echo "==> go test -race ./... $*"
 # Explicit -timeout: the race detector runs the heavy differential suites
 # 5-10x slower than plain, and a single-core runner can brush against go
-# test's default 10m per-package limit (the suites also subsample under
-# the race build tag — see internal/core/compileddiff_test.go).
+# test's default 10m per-package limit.
 go test -race -timeout 20m "$@" ./...
 
 echo "==> serve smoke (scripts/serve_smoke.sh)"

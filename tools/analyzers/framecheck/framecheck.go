@@ -9,19 +9,12 @@
 //     without a table entry;
 //   - frame switches: a type switch over a continuation-frame interface
 //     with a panicking default (the Measurer.Frame cost switches) asserts
-//     exhaustiveness at runtime only — a new frame kind panics mid-run;
-//   - opcode switches: an expression switch over a dense integer
-//     enumeration (the compiled backend's opcode dispatch) with a
-//     panicking default likewise asserts exhaustiveness at runtime only —
-//     an opcode added without a dispatch arm panics on first execution.
+//     exhaustiveness at runtime only — a new frame kind panics mid-run.
 //
 // The checks are structural, not name-based: any keyed array literal whose
-// length is a named constant must cover every index below the bound, any
+// length is a named constant must cover every index below the bound, and any
 // panic-default type switch over an interface must list every concrete
-// implementation found in the interface's defining package, and any
-// panic-default expression switch over a dense enum (constants 0..N-1
-// plus a single count bound at N, the NumRules/NumOps idiom) must list a
-// case for every value below the bound.
+// implementation found in the interface's defining package.
 package framecheck
 
 import (
@@ -50,8 +43,6 @@ func Check(files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic
 				diags = append(diags, checkDenseArray(x, info)...)
 			case *ast.TypeSwitchStmt:
 				diags = append(diags, checkFrameSwitch(x, pkg, info)...)
-			case *ast.SwitchStmt:
-				diags = append(diags, checkOpSwitch(x, pkg, info)...)
 			}
 			return true
 		})
@@ -217,87 +208,9 @@ func switchedExpr(sw *ast.TypeSwitchStmt) ast.Expr {
 	return nil
 }
 
-// checkOpSwitch enforces exhaustiveness on expression switches that assert
-// it: a panicking default over a dense integer enumeration says "every
-// other value is dispatched above". The enumeration is recognized by the
-// NumRules/NumOps idiom — a named integer type whose constants in its
-// defining package take exactly the values 0..N, with a single constant at
-// the top value N acting as the count bound — and the switch must then
-// have a case for every value below the bound.
-func checkOpSwitch(sw *ast.SwitchStmt, pkg *types.Package, info *types.Info) []Diagnostic {
-	if sw.Tag == nil || !panicsByDefault(sw.Body.List) {
-		return nil
-	}
-	tv, ok := info.Types[sw.Tag]
-	if !ok {
-		return nil
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return nil
-	}
-	basic, ok := named.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsInteger == 0 {
-		return nil
-	}
-	defPkg := named.Obj().Pkg()
-	if defPkg == nil {
-		return nil
-	}
-	byVal := map[int64][]*types.Const{}
-	max := int64(-1)
-	scope := defPkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !types.Identical(c.Type(), named) {
-			continue
-		}
-		v, ok := constant.Int64Val(constant.ToInt(c.Val()))
-		if !ok || v < 0 {
-			return nil // negative or huge values: not the dense idiom
-		}
-		byVal[v] = append(byVal[v], c)
-		if v > max {
-			max = v
-		}
-	}
-	// Dense from zero with one top constant as the count, or it is not a
-	// dispatch enumeration and the check does not apply.
-	if max < 1 || int64(len(byVal)) != max+1 || len(byVal[max]) != 1 {
-		return nil
-	}
-	covered := map[int64]bool{}
-	for _, s := range sw.Body.List {
-		for _, ce := range s.(*ast.CaseClause).List {
-			ctv, ok := info.Types[ce]
-			if !ok || ctv.Value == nil {
-				return nil // non-constant case: not statically checkable
-			}
-			if v, ok := constant.Int64Val(constant.ToInt(ctv.Value)); ok {
-				covered[v] = true
-			}
-		}
-	}
-	var missing []string
-	for v := int64(0); v < max; v++ {
-		if !covered[v] {
-			missing = append(missing, byVal[v][0].Name())
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	qual := types.RelativeTo(pkg)
-	return []Diagnostic{{
-		Pos: sw.Pos(),
-		Message: fmt.Sprintf("switch over %s panics by default but is missing cases for %s",
-			types.TypeString(named, qual), strings.Join(missing, ", ")),
-	}}
-}
-
-// panicsByDefault reports whether a switch body (type or expression) has a
-// default clause whose first statement is a panic call — the runtime
-// exhaustiveness assertion these checks lift to build time.
+// panicsByDefault reports whether a type switch body has a default clause
+// whose first statement is a panic call — the runtime exhaustiveness
+// assertion the frame-switch check lifts to build time.
 func panicsByDefault(body []ast.Stmt) bool {
 	for _, s := range body {
 		cc := s.(*ast.CaseClause)

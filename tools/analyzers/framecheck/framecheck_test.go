@@ -170,86 +170,3 @@ var tbl = [3]string{"a"}
 		t.Fatalf("literal-length array flagged: %+v", diags)
 	}
 }
-
-// TestOpSwitch covers the dense-enum dispatch pass: a panic-default
-// expression switch over an op enumeration (constants 0..N-1 plus the
-// numOps count bound) missing an arm is flagged, a complete switch and a
-// non-panicking default stay silent, and the bound itself needs no case.
-func TestOpSwitch(t *testing.T) {
-	const src = `package p
-
-type op int
-
-const (
-	opConst op = iota
-	opLocal
-	opCall
-	numOps
-)
-
-func dispatch(o op) int {
-	switch o {
-	case opConst:
-		return 0
-	case opCall:
-		return 2
-	default:
-		panic("unknown opcode")
-	}
-}
-
-func full(o op) int {
-	switch o {
-	case opConst, opLocal:
-		return 0
-	case opCall:
-		return 2
-	default:
-		panic("unknown opcode")
-	}
-}
-
-func lenient(o op) string {
-	switch o {
-	case opConst:
-		return "const"
-	default:
-		return "other"
-	}
-}
-`
-	diags, _ := checkSource(t, src)
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %+v", len(diags), diags)
-	}
-	if want := "missing cases for opLocal"; !strings.Contains(diags[0].Message, want) {
-		t.Errorf("diag = %q, want mention of %q", diags[0].Message, want)
-	}
-}
-
-// TestOpSwitchNonDenseExempt: integer types whose constants are not the
-// dense 0..N-plus-bound idiom (flag words, sparse codes) are not dispatch
-// enumerations, even with a panicking default.
-func TestOpSwitchNonDenseExempt(t *testing.T) {
-	const src = `package p
-
-type code int
-
-const (
-	codeA code = 1
-	codeB code = 4
-)
-
-func f(c code) int {
-	switch c {
-	case codeA:
-		return 0
-	default:
-		panic("bad code")
-	}
-}
-`
-	if diags, _ := checkSource(t, src); len(diags) != 0 {
-		t.Fatalf("sparse enum flagged: %+v", diags)
-	}
-}
